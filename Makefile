@@ -26,6 +26,7 @@ test:
 # fail loudly instead.
 race:
 	$(GO) test -race -shuffle=on ./...
+	$(GO) test -race -count=10 -run 'TestConcurrentQueries|TestConcurrentTemplateCompile' ./internal/server ./internal/core
 	$(GO) test -race -run 'TestCrashRecovery' -v ./internal/core
 	$(GO) test -race -run 'TestFollowerCrashResume' -v ./internal/follower
 	$(GO) test -race -shuffle=on -run 'TestRecordsTailReadOpensOnlyFinalSegment|TestRecoverDBRejectsDuplicateLSN' -v ./internal/wal

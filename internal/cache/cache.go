@@ -8,10 +8,12 @@
 // values are opaque. Each shard holds its own mutex, hash map and intrusive
 // LRU list, so concurrent readers on different shards never contend.
 // Eviction is per-shard LRU with a global capacity divided evenly across
-// shards.
+// shards. Do adds a per-key single flight on top: concurrent misses on one
+// key run one fill.
 package cache
 
 import (
+	"errors"
 	"hash/maphash"
 	"sync"
 	"sync/atomic"
@@ -48,10 +50,25 @@ type shard struct {
 	mu  sync.Mutex
 	m   map[string]*entry
 	cap int
+	// calls holds the in-flight fills of Do by key; gen counts purges, so
+	// a fill that started before a Purge does not store its result after.
+	calls map[string]*call
+	gen   uint64
 	// Intrusive doubly-linked LRU list; head.next is most recent,
 	// head.prev least recent.
 	head entry
 }
+
+// call is one in-flight fill of Do; val and err are written before done is
+// closed and read only after.
+type call struct {
+	done chan struct{}
+	val  any
+	err  error
+}
+
+// errFillPanicked is handed to the waiters of a fill that panicked.
+var errFillPanicked = errors.New("cache: fill panicked")
 
 type entry struct {
 	key        string
@@ -103,32 +120,29 @@ func (c *Cache) Get(key string) (any, bool) {
 func (c *Cache) GetTouch(key string) (any, int64, bool) {
 	s := c.shardFor(key)
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	e, ok := s.m[key]
-	var (
-		val any
-		n   int64
-	)
-	if ok {
-		// Copy the value inside the critical section: a concurrent Put on
-		// the same key rewrites e.val under the lock, and reading it after
-		// unlock would race. The global counters are bumped here too, so a
-		// quiescent Stats read agrees exactly with the lookups performed —
-		// updating them after unlock let a concurrent snapshot observe the
-		// promotion without the hit.
-		val = e.val
-		e.hits++
-		n = e.hits
-		s.unlink(e)
-		s.pushFront(e)
-		c.hits.Add(1)
-	} else {
-		c.misses.Add(1)
-	}
-	s.mu.Unlock()
 	if !ok {
+		c.misses.Add(1)
 		return nil, 0, false
 	}
+	val, n := c.hitLocked(s, e)
 	return val, n, true
+}
+
+// hitLocked records a hit on e and promotes it, returning its value and
+// lifetime hit count. The value is copied inside the critical section: a
+// concurrent Put on the same key rewrites e.val under the lock, and reading
+// it after unlock would race. The global counter is bumped here too, so a
+// quiescent Stats read agrees exactly with the lookups performed —
+// updating it after unlock let a concurrent snapshot observe the promotion
+// without the hit.
+func (c *Cache) hitLocked(s *shard, e *entry) (any, int64) {
+	e.hits++
+	s.unlink(e)
+	s.pushFront(e)
+	c.hits.Add(1)
+	return e.val, e.hits
 }
 
 // Put stores val under key, evicting the least recently used entry of the
@@ -137,11 +151,15 @@ func (c *Cache) GetTouch(key string) (any, int64, bool) {
 func (c *Cache) Put(key string, val any) {
 	s := c.shardFor(key)
 	s.mu.Lock()
+	c.putLocked(s, key, val)
+	s.mu.Unlock()
+}
+
+func (c *Cache) putLocked(s *shard, key string, val any) {
 	if e, ok := s.m[key]; ok {
 		e.val = val
 		s.unlink(e)
 		s.pushFront(e)
-		s.mu.Unlock()
 		return
 	}
 	if len(s.m) >= s.cap {
@@ -153,8 +171,64 @@ func (c *Cache) Put(key string, val any) {
 	e := &entry{key: key, val: val}
 	s.m[key] = e
 	s.pushFront(e)
-	s.mu.Unlock()
 }
+
+// Do returns the value cached under key, filling it on a miss. Concurrent
+// misses on one key share a single fill: the first caller runs fill and
+// counts the miss, the others wait for its result and count as hits, so a
+// burst of cold lookups of one key computes it once. A non-nil result is
+// stored — unless Purge ran while fill did — and a nil result or an error
+// is handed to the waiters without being stored. hit reports that the
+// value came from the cache or from another caller's fill; hits is the
+// entry's lifetime hit count as in GetTouch (0 for a filler or a waiter).
+// fill runs with no cache lock held.
+func (c *Cache) Do(key string, fill func() (any, error)) (val any, hits int64, hit bool, err error) {
+	s := c.shardFor(key)
+	s.mu.Lock()
+	if e, ok := s.m[key]; ok {
+		val, hits = c.hitLocked(s, e)
+		s.mu.Unlock()
+		return val, hits, true, nil
+	}
+	if cl, ok := s.calls[key]; ok {
+		c.hits.Add(1)
+		s.mu.Unlock()
+		<-cl.done
+		return cl.val, 0, true, cl.err
+	}
+	c.misses.Add(1)
+	cl := &call{done: make(chan struct{})}
+	if s.calls == nil {
+		s.calls = map[string]*call{}
+	}
+	s.calls[key] = cl
+	gen := s.gen
+	s.mu.Unlock()
+
+	filled := false
+	defer func() {
+		if !filled {
+			cl.val, cl.err = nil, errFillPanicked
+		}
+		s.mu.Lock()
+		if s.calls[key] == cl {
+			delete(s.calls, key)
+		}
+		if cl.err == nil && cl.val != nil && s.gen == gen {
+			c.putLocked(s, key, cl.val)
+		}
+		s.mu.Unlock()
+		close(cl.done)
+	}()
+	cl.val, cl.err = fill()
+	filled = true
+	return cl.val, 0, false, cl.err
+}
+
+// CountHit records a hit answered in front of the cache: a layer that
+// serves a key's result without looking the key up (the engine's
+// materialized answers) still counts as a repeat served from cache.
+func (c *Cache) CountHit() { c.hits.Add(1) }
 
 // Purge drops every entry, counting them as purges (not evictions). It is
 // the invalidation hammer for events that outdate all plans at once.
@@ -164,6 +238,10 @@ func (c *Cache) Purge() {
 		s.mu.Lock()
 		c.purges.Add(int64(len(s.m)))
 		s.m = make(map[string]*entry)
+		// In-flight fills finish for their own callers but store nothing;
+		// a lookup after the purge starts a fresh fill.
+		s.calls = nil
+		s.gen++
 		s.head.next = &s.head
 		s.head.prev = &s.head
 		s.mu.Unlock()

@@ -1,7 +1,9 @@
 package cache
 
 import (
+	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -242,5 +244,95 @@ func TestGetTouchHitCounts(t *testing.T) {
 	c.Put("k", 3)
 	if _, n, _ := c.GetTouch("k"); n != 1 {
 		t.Fatalf("count survived rebirth: n = %d", n)
+	}
+}
+
+// TestDoSingleFlight pins Do's single flight: concurrent misses on one key
+// run one fill, the waiters count as hits, and the result is stored.
+func TestDoSingleFlight(t *testing.T) {
+	c := New(8, 1)
+	const callers = 8
+	release := make(chan struct{})
+	var fills sync.WaitGroup
+	var filled int
+	var wg sync.WaitGroup
+	hits := make([]bool, callers)
+	fills.Add(1)
+	for g := 0; g < callers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			v, _, hit, err := c.Do("k", func() (any, error) {
+				filled++ // only one fill runs; -race flags a second
+				fills.Done()
+				<-release
+				return 42, nil
+			})
+			if err != nil || v.(int) != 42 {
+				t.Errorf("Do = %v, %v", v, err)
+			}
+			hits[g] = hit
+		}(g)
+	}
+	fills.Wait()
+	// Every caller has either started the fill or is about to find it in
+	// flight (or, later, the stored entry); release it once all are queued.
+	for {
+		st := c.Stats()
+		if st.Hits+st.Misses == callers {
+			break
+		}
+		runtime.Gosched()
+	}
+	close(release)
+	wg.Wait()
+	if filled != 1 {
+		t.Fatalf("fill ran %d times, want 1", filled)
+	}
+	n := 0
+	for _, h := range hits {
+		if !h {
+			n++
+		}
+	}
+	st := c.Stats()
+	if n != 1 || st.Misses != 1 || st.Hits != callers-1 || st.Entries != 1 {
+		t.Fatalf("fillers = %d, stats = %+v", n, st)
+	}
+	if v, n, hit, _ := c.Do("k", nil); !hit || n != 1 || v.(int) != 42 {
+		t.Fatalf("stored entry: v = %v n = %d hit = %v", v, n, hit)
+	}
+}
+
+// TestDoNotStored covers the results Do hands back without storing: an
+// error, a nil value, a fill that panics, and a fill overtaken by Purge.
+func TestDoNotStored(t *testing.T) {
+	c := New(8, 1)
+	boom := errors.New("boom")
+	if _, _, _, err := c.Do("err", func() (any, error) { return nil, boom }); !errors.Is(err, boom) {
+		t.Fatalf("err = %v", err)
+	}
+	if v, _, hit, err := c.Do("nil", func() (any, error) { return nil, nil }); v != nil || hit || err != nil {
+		t.Fatalf("nil fill: v = %v hit = %v err = %v", v, hit, err)
+	}
+	func() {
+		defer func() { _ = recover() }()
+		c.Do("panic", func() (any, error) { panic("fill") })
+	}()
+	if _, _, _, err := c.Do("panic", func() (any, error) { return 1, nil }); err != nil {
+		t.Fatalf("key stuck after a panicking fill: %v", err)
+	}
+	if _, _, _, err := c.Do("purged", func() (any, error) { c.Purge(); return 1, nil }); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := c.Get("purged"); ok {
+		t.Fatal("a fill overtaken by Purge stored its result")
+	}
+	if _, ok := c.Get("err"); ok {
+		t.Fatal("a failed fill stored a value")
+	}
+	c.CountHit()
+	if st := c.Stats(); st.Hits != 1 || st.Misses != 7 {
+		t.Fatalf("stats = %+v, want 7 misses and the one counted hit", st)
 	}
 }

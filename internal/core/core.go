@@ -63,6 +63,10 @@ type Engine struct {
 	// plans caches compiled queries by canonical fingerprint. nil disables
 	// caching (the zero Engine still works).
 	plans *cache.Cache
+	// templates caches compiled queries by shape (ra.Template): an exact
+	// miss binds its shape's template instead of compiling. It has the
+	// plans cache's capacity and is purged, replaced and disabled with it.
+	templates *cache.Cache
 
 	// views maintains materialized answers for hot fingerprints (nil
 	// disables IVM; see SetIVMConfig). The pointer is atomic so the write
@@ -142,26 +146,24 @@ func NewEngine(schema ra.Schema, A *access.Schema, db *store.DB) (*Engine, error
 	if err := db.BuildIndexes(A); err != nil {
 		return nil, err
 	}
-	e := &Engine{
-		schema: schema,
-		acc:    A,
-		db:     db,
-		plans:  cache.New(DefaultPlanCacheSize, DefaultPlanCacheShards),
-	}
+	e := &Engine{schema: schema, acc: A, db: db}
+	e.SetPlanCacheCapacity(DefaultPlanCacheSize)
 	e.views.Store(ivm.NewManager(ivm.DefaultConfig()))
 	return e, nil
 }
 
-// SetPlanCacheCapacity replaces the plan cache with one of the given
-// capacity, dropping all entries; capacity <= 0 disables caching.
+// SetPlanCacheCapacity replaces the plan cache and the template cache with
+// ones of the given capacity each, dropping all entries; capacity <= 0
+// disables caching.
 func (e *Engine) SetPlanCacheCapacity(capacity int) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if capacity <= 0 {
-		e.plans = nil
+		e.plans, e.templates = nil, nil
 		return
 	}
 	e.plans = cache.New(capacity, DefaultPlanCacheShards)
+	e.templates = cache.New(capacity, DefaultPlanCacheShards)
 }
 
 // CacheStats returns a snapshot of the plan-cache counters.
@@ -172,6 +174,18 @@ func (e *Engine) CacheStats() cache.Stats {
 		return cache.Stats{}
 	}
 	return e.plans.Stats()
+}
+
+// TemplateStats returns a snapshot of the template-cache counters: a hit
+// is an exact-key miss served by binding its shape's template, a miss one
+// that compiled.
+func (e *Engine) TemplateStats() cache.Stats {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	if e.templates == nil {
+		return cache.Stats{}
+	}
+	return e.templates.Stats()
 }
 
 // InvalidatePlans drops every cached plan and bumps the engine version.
@@ -186,8 +200,15 @@ func (e *Engine) InvalidatePlans() {
 
 func (e *Engine) invalidateLocked() {
 	e.version.Add(1)
+	e.purgeLocked()
+}
+
+// purgeLocked drops every cached plan, template and materialized answer.
+// Called with e.mu held exclusively.
+func (e *Engine) purgeLocked() {
 	if e.plans != nil {
 		e.plans.Purge()
+		e.templates.Purge()
 	}
 	e.PurgeMaterializations()
 }
@@ -211,10 +232,7 @@ func (e *Engine) SyncVersion(v uint64) {
 		return
 	}
 	e.version.Store(v)
-	if e.plans != nil {
-		e.plans.Purge()
-	}
-	e.PurgeMaterializations()
+	e.purgeLocked()
 }
 
 // AccessSnapshot returns a consistent copy of the installed access schema.
@@ -264,9 +282,15 @@ type Report struct {
 	// Stats is the execution cost.
 	Stats exec.Stats
 	// CacheHit reports that the compile artifact (coverage verdict,
-	// rewrite, minimized schema, plan) came from the plan cache; the
-	// analysis latencies below are zero in that case.
+	// rewrite, minimized schema, plan) came from the plan cache under the
+	// query's exact fingerprint; the analysis latencies below are zero in
+	// that case.
 	CacheHit bool
+	// TemplateHit reports that the exact fingerprint missed and the
+	// artifact was bound from the template of the query's shape
+	// (ra.Template) — the same query with other constants compiled
+	// earlier. The analysis latencies are zero in that case too.
+	TemplateHit bool
 	// Materialized reports that the answer was served from an
 	// incrementally maintained materialization (internal/ivm) — no plan
 	// was executed and Stats is zero.
@@ -315,12 +339,12 @@ func (e *Engine) ExecuteNormalized(norm ra.Query, fp string, opts Options) (*exe
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 
-	var key string
+	var mgr *ivm.Manager
 	if opts.Cache && e.plans != nil {
 		if fp == "" {
 			fp = ra.FingerprintNormalized(norm)
 		}
-		mgr := e.views.Load()
+		mgr = e.views.Load()
 		if mgr != nil {
 			// Materialized fast path: the answer is already maintained
 			// under writes, so a hot repeat is a pointer load. Views are
@@ -328,38 +352,91 @@ func (e *Engine) ExecuteNormalized(norm ra.Query, fp string, opts Options) (*exe
 			// bump, so a snapshot served under the shared lock can never
 			// outlive the access schema it was built against.
 			if t, info, ok := mgr.Serve(viewKey(fp, opts)); ok {
+				e.plans.CountHit()
 				rep := &Report{CacheHit: true, Materialized: true, Version: e.version.Load()}
 				analyzed(info.(*compiled), rep)
 				return t, rep, nil
 			}
 		}
-		key = e.cacheKeyLocked(fp, opts)
-		if v, hits, ok := e.plans.GetTouch(key); ok {
-			c := v.(*compiled)
-			t, rep, err := e.runCompiled(c, opts, &Report{CacheHit: true, Version: e.version.Load()})
-			if err == nil && mgr != nil {
-				vk := viewKey(fp, opts)
-				if mgr.ShouldAdmit(vk, hits, float64(rep.Stats.Accessed)+1) {
-					e.materialize(mgr, vk, c, t)
-				}
-			}
-			return t, rep, err
-		}
 	}
 
 	rep := &Report{Version: e.version.Load()}
-	c, err := e.compile(norm, opts, rep)
+	c, hits, err := e.artifact(norm, fp, opts, rep)
 	if err != nil {
 		return nil, nil, err
 	}
-	if key != "" {
-		e.plans.Put(key, c)
+	t, rep, err := e.runCompiled(c, opts, rep)
+	if err == nil && mgr != nil && hits > 0 {
+		vk := viewKey(fp, opts)
+		if mgr.ShouldAdmit(vk, hits, float64(rep.Stats.Accessed)+1) {
+			e.materialize(mgr, vk, c, t)
+		}
 	}
-	return e.runCompiled(c, opts, rep)
+	return t, rep, err
 }
 
-// cacheKeyLocked renders the plan-cache key for a fingerprint under the
-// current engine version and the analysis-shaping options. The version is
+// artifact returns the compile artifact of norm under opts, recording on
+// rep where it came from and, when it compiled, the analysis latencies.
+// With opts.Cache it looks up the exact fingerprint (fp, or computed when
+// empty), then the template of norm's shape, and compiles only when both
+// miss; concurrent misses on one key compile once, the others waiting for
+// that result. hits is the exact entry's lifetime hit count, the repeat
+// signal materialization admission weighs (0 unless rep.CacheHit). Called
+// with e.mu held shared.
+func (e *Engine) artifact(norm ra.Query, fp string, opts Options, rep *Report) (*compiled, int64, error) {
+	if !opts.Cache || e.plans == nil {
+		c, err := e.compile(norm, opts, rep)
+		return c, 0, err
+	}
+	if fp == "" {
+		fp = ra.FingerprintNormalized(norm)
+	}
+	v, hits, hit, err := e.plans.Do(e.cacheKeyLocked(fp, opts), func() (any, error) {
+		return e.compileShape(norm, opts, rep)
+	})
+	if err != nil {
+		return nil, 0, err
+	}
+	rep.CacheHit = hit
+	return v.(*compiled), hits, nil
+}
+
+// compileShape serves an exact-key miss through the template cache: a hit
+// binds the template of norm's shape to norm's constants; a miss compiles
+// norm and stores the artifact as its shape's template, unless it holds a
+// constant the query does not. The bound or compiled artifact is what the
+// caller stores under the exact key, so repeats of the exact query still
+// count as plan-cache hits. Called with e.mu held shared.
+func (e *Engine) compileShape(norm ra.Query, opts Options, rep *Report) (*compiled, error) {
+	key, params := ra.Template(norm)
+	var own *compiled
+	v, _, _, err := e.templates.Do(e.cacheKeyLocked(key, opts), func() (any, error) {
+		c, err := e.compile(norm, opts, rep)
+		if err != nil {
+			return nil, err
+		}
+		own = c
+		if t := newTemplate(c, params); t != nil {
+			return t, nil
+		}
+		return nil, nil
+	})
+	switch {
+	case own != nil:
+		return own, nil
+	case err != nil:
+		return nil, err
+	case v == nil:
+		// Waited on a compile whose artifact could not be a template.
+		return e.compile(norm, opts, rep)
+	}
+	rep.TemplateHit = true
+	return v.(*template).bind(params), nil
+}
+
+// cacheKeyLocked renders the cache key for a fingerprint (plan cache) or
+// a shape key (template cache) under the current engine version and the
+// analysis-shaping options. The version is
 // part of the key so entries compiled before a schema or access-schema
 // change can never be served after it. Called with e.mu held (shared or
 // exclusive).
@@ -384,26 +461,10 @@ func (e *Engine) cacheKeyLocked(fp string, opts Options) string {
 func (e *Engine) Analyze(norm ra.Query, fp string, opts Options) (*Report, error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-
-	var key string
-	if opts.Cache && e.plans != nil {
-		if fp == "" {
-			fp = ra.FingerprintNormalized(norm)
-		}
-		key = e.cacheKeyLocked(fp, opts)
-		if v, ok := e.plans.Get(key); ok {
-			rep := &Report{CacheHit: true, Version: e.version.Load()}
-			analyzed(v.(*compiled), rep)
-			return rep, nil
-		}
-	}
 	rep := &Report{Version: e.version.Load()}
-	c, err := e.compile(norm, opts, rep)
+	c, _, err := e.artifact(norm, fp, opts, rep)
 	if err != nil {
 		return nil, err
-	}
-	if key != "" {
-		e.plans.Put(key, c)
 	}
 	analyzed(c, rep)
 	return rep, nil
@@ -447,20 +508,9 @@ func (e *Engine) Prewarm(norm ra.Query, fp string, opts Options) error {
 	if e.plans == nil {
 		return nil
 	}
-	if fp == "" {
-		fp = ra.FingerprintNormalized(norm)
-	}
-	key := e.cacheKeyLocked(fp, opts)
-	if _, ok := e.plans.Get(key); ok {
-		return nil
-	}
-	rep := &Report{}
-	c, err := e.compile(norm, opts, rep)
-	if err != nil {
-		return err
-	}
-	e.plans.Put(key, c)
-	return nil
+	opts.Cache = true
+	_, _, err := e.artifact(norm, fp, opts, &Report{})
+	return err
 }
 
 // compile runs the analysis pipeline on a normalized query: CovChk,

@@ -9,9 +9,11 @@ import (
 )
 
 // TestDifferentialTemplates sweeps every workload template through all
-// four execution paths — the conventional baseline (evalDBMS), the serial
-// bounded plan (exec.Run), the parallel bounded plan (exec.RunParallel)
-// and the cached path (plan-cache hit) — and requires identical answers.
+// five execution paths — the conventional baseline (evalDBMS), the serial
+// bounded plan (exec.Run), the parallel bounded plan (exec.RunParallel),
+// the cached path (plan-cache hit) and the template-bound path (other
+// bindings of the template's shape, drawn from live tuples) — and requires
+// identical answers, each bounded path within its plan's access bound.
 func TestDifferentialTemplates(t *testing.T) {
 	for _, d := range workload.All() {
 		d := d
@@ -24,6 +26,8 @@ func TestDifferentialTemplates(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			rng := rand.New(rand.NewSource(5))
+			rebound := 0
 			for _, tpl := range d.Templates() {
 				tpl := tpl
 				t.Run(tpl.Name, func(t *testing.T) {
@@ -67,15 +71,22 @@ func TestDifferentialTemplates(t *testing.T) {
 							t.Errorf("%s: answer differs from baseline\npath: %s\nbaseline: %s",
 								p.name, table.String(), want.String())
 						}
+						checkBound(t, p.name, rep)
 					}
+					rebound += len(runRebound(t, eng, q, rng, 3))
 				})
+			}
+			t.Logf("%d template-bound bindings checked", rebound)
+			if rebound == 0 {
+				t.Fatal("no template had a live rebinding")
 			}
 		})
 	}
 }
 
 // TestDifferentialRandomQueries widens the sweep with generator queries:
-// whatever the generator emits, all paths must agree.
+// whatever the generator emits, all paths must agree, including other
+// bindings of its shape served from the template cache.
 func TestDifferentialRandomQueries(t *testing.T) {
 	d := workload.Airca()
 	db, err := d.Gen(0.03, 11)
@@ -87,7 +98,9 @@ func TestDifferentialRandomQueries(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(42))
+	bindRng := rand.New(rand.NewSource(43))
 	p := workload.DefaultQueryParams()
+	rebound := 0
 	for i := 0; i < 12; i++ {
 		p.Sel = 3 + i%4
 		p.Join = i % 3
@@ -105,14 +118,20 @@ func TestDifferentialRandomQueries(t *testing.T) {
 			for _, cacheOn := range []bool{false, true, true} {
 				opts := DefaultOptions()
 				opts.Cache = cacheOn
-				table, _, err := eng.Execute(q, opts)
+				table, rep, err := eng.Execute(q, opts)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if !table.Equal(want) {
 					t.Fatalf("cache=%v: differs from baseline", cacheOn)
 				}
+				checkBound(t, name, rep)
 			}
+			rebound += len(runRebound(t, eng, q, bindRng, 3))
 		})
+	}
+	t.Logf("%d template-bound bindings checked", rebound)
+	if rebound == 0 {
+		t.Fatal("no generator query had a live rebinding")
 	}
 }

@@ -552,6 +552,9 @@ func (n *Node) Version() uint64 { return n.eng.Load().Version() }
 // CacheStats returns the local plan-cache counters.
 func (n *Node) CacheStats() cache.Stats { return n.eng.Load().CacheStats() }
 
+// TemplateStats returns the local template-cache counters.
+func (n *Node) TemplateStats() cache.Stats { return n.eng.Load().TemplateStats() }
+
 // SetPlanCacheCapacity resizes the local plan cache.
 func (n *Node) SetPlanCacheCapacity(capacity int) { n.eng.Load().SetPlanCacheCapacity(capacity) }
 

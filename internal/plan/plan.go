@@ -171,6 +171,44 @@ func (p *Plan) Validate(A *access.Schema) error {
 	return nil
 }
 
+// MapConsts returns a copy of p with every constant — OpConst rows, fetch
+// ConstEqs and constant filter conditions — replaced by f(c), visited in
+// step order. The copy shares everything else with p: plans are immutable
+// once built.
+func (p *Plan) MapConsts(f func(value.Value) value.Value) *Plan {
+	out := &Plan{Steps: make([]Step, len(p.Steps)), Result: p.Result, FetchSteps: p.FetchSteps}
+	for i, s := range p.Steps {
+		if len(s.Rows) > 0 {
+			rows := make([]value.Tuple, len(s.Rows))
+			for j, r := range s.Rows {
+				rows[j] = make(value.Tuple, len(r))
+				for k, c := range r {
+					rows[j][k] = f(c)
+				}
+			}
+			s.Rows = rows
+		}
+		if len(s.ConstEqs) > 0 {
+			eqs := make([]ConstCond, len(s.ConstEqs))
+			for j, eq := range s.ConstEqs {
+				eqs[j] = ConstCond{Label: eq.Label, C: f(eq.C)}
+			}
+			s.ConstEqs = eqs
+		}
+		if len(s.Conds) > 0 {
+			conds := append([]Cond(nil), s.Conds...)
+			for j := range conds {
+				if conds[j].IsConst {
+					conds[j].C = f(conds[j].C)
+				}
+			}
+			s.Conds = conds
+		}
+		out.Steps[i] = s
+	}
+	return out
+}
+
 // MaxAccessBound returns a static upper bound on the number of tuples the
 // plan can access: the product-sum over fetch steps of the cardinality
 // bounds along their input chains. It is the quantity the paper bounds by

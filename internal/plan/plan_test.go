@@ -177,3 +177,47 @@ func smallCfg() workload.FacebookConfig {
 	cfg.Cafes = 30
 	return cfg
 }
+
+// TestMapConstsCopies checks that MapConsts reaches every constant of a
+// plan (filter, fetch and constant-table) in a copy, leaving the original
+// plan as it was.
+func TestMapConstsCopies(t *testing.T) {
+	fb, _, err := workload.GenFacebook(smallCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := checkedResult(t, fb.Q1(), fb.Schema, fb.Access)
+	p, err := plan.Build(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	consts := func(p *plan.Plan) []value.Value {
+		var out []value.Value
+		p.MapConsts(func(c value.Value) value.Value { out = append(out, c); return c })
+		return out
+	}
+	before := consts(p)
+	_, params := ra.Template(res.Query)
+	for _, c := range params {
+		found := false
+		for _, b := range before {
+			found = found || b == c
+		}
+		if !found {
+			t.Fatalf("MapConsts never visited the query constant %v (saw %v)", c, before)
+		}
+	}
+	text := p.String()
+	marked := p.MapConsts(func(value.Value) value.Value { return value.NewStr("bound") })
+	for _, c := range consts(marked) {
+		if c != value.NewStr("bound") {
+			t.Fatalf("constant %v survived MapConsts", c)
+		}
+	}
+	if got := consts(p); len(got) != len(before) || p.String() != text {
+		t.Fatalf("MapConsts changed the original plan: %v -> %v", before, got)
+	}
+	if marked.MaxAccessBound() != p.MaxAccessBound() || marked.Length() != p.Length() {
+		t.Fatal("MapConsts changed the plan's shape")
+	}
+}

@@ -457,6 +457,7 @@ func (s *Server) runQuery(ctx context.Context, req QueryRequest) queryOutcome {
 		RewriteRules:  rep.RewriteRules,
 		Bounded:       rep.Bounded,
 		CacheHit:      rep.CacheHit,
+		TemplateHit:   rep.TemplateHit,
 		Materialized:  rep.Materialized,
 		PlanLength:    rep.Stats.PlanLength,
 		Accessed:      rep.Stats.Accessed,
@@ -627,6 +628,13 @@ type durabler interface {
 	DurabilityStats() (wal.Stats, bool)
 }
 
+// templateStatser is implemented by core.Service implementations with a
+// template cache behind the plan cache (core.Engine, shard.Router,
+// follower.Node); /stats reports its counters.
+type templateStatser interface {
+	TemplateStats() cache.Stats
+}
+
 // ivmStatser is implemented by core.Service implementations that
 // maintain materialized answers for hot fingerprints (core.Engine,
 // shard.Router); /stats folds the view counters in for operators.
@@ -771,9 +779,15 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
+	var tmplW *TemplateStatsWire
+	if ts, ok := s.eng.(templateStatser); ok {
+		st := ts.TemplateStats()
+		tmplW = &TemplateStatsWire{Hits: st.Hits, Misses: st.Misses, Entries: st.Entries}
+	}
 	cs := s.eng.CacheStats()
 	resp := StatsResponse{
 		Cache:         cacheWire(cs),
+		Templates:     tmplW,
 		Executor:      execWire(exec.ReadCounters()),
 		Apply:         applyW,
 		Routes:        routesW,

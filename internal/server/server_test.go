@@ -438,6 +438,39 @@ func TestIVMStatsAndMaterializedFlag(t *testing.T) {
 	}
 }
 
+// TestTemplateStatsWire pins the template block of /stats: a new constant
+// binding of a compiled shape misses the plan cache, is bound from the
+// shape's template, and says so on the wire.
+func TestTemplateStatsWire(t *testing.T) {
+	_, c := startServer(t, testEngine(t), Config{})
+	ctx := context.Background()
+	first, err := c.Query(ctx, friendQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := c.Query(ctx, strings.Replace(friendQuery, "friend(0,", "friend(1,", 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.TemplateHit || !other.TemplateHit || other.CacheHit || other.CompileMicros != 0 {
+		t.Fatalf("templateHit = %v then %v (cacheHit %v, compile %d us), want false then true",
+			first.TemplateHit, other.TemplateHit, other.CacheHit, other.CompileMicros)
+	}
+	st, err := c.Stats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Templates == nil {
+		t.Fatal("stats response missing the templates block")
+	}
+	if got := *st.Templates; got != (TemplateStatsWire{Hits: 1, Misses: 1, Entries: 1}) {
+		t.Fatalf("templates block = %+v, want 1 hit, 1 miss, 1 entry", got)
+	}
+	if st.Cache.Misses != 2 || st.Cache.Entries != 2 {
+		t.Fatalf("both bindings should miss the plan cache and be stored: %+v", st.Cache)
+	}
+}
+
 // TestConcurrentQueries hammers the server from many client goroutines
 // while writers churn tuples, the regime the serving layer is built for.
 // Run under -race this is the race-cleanliness acceptance check.

@@ -59,6 +59,10 @@ type QueryResponse struct {
 	RewriteRules []string `json:"rewriteRules,omitempty"`
 	Bounded      bool     `json:"bounded"`
 	CacheHit     bool     `json:"cacheHit"`
+	// TemplateHit reports that the plan cache missed and the compile
+	// artifact was bound from the template of the query's shape — the same
+	// query with other constants, compiled earlier.
+	TemplateHit bool `json:"templateHit,omitempty"`
 	// Materialized reports that the answer was served from an
 	// incrementally maintained materialization (no plan ran at all);
 	// always paired with CacheHit.
@@ -149,6 +153,9 @@ type CacheStatsWire struct {
 // and index sizes, and the server's own request accounting.
 type StatsResponse struct {
 	Cache CacheStatsWire `json:"cache"`
+	// Templates is the template cache behind the plan cache, present when
+	// the served core.Service has one (summed across engines on a cluster).
+	Templates *TemplateStatsWire `json:"templates,omitempty"`
 	// DBSize is total tuples across base relations; IndexEntries total
 	// entries across the indices I_A. Behind a sharded router these are
 	// logical sizes (each broadcast copy counted once) while the Shards
@@ -278,6 +285,17 @@ type FollowerStatsWire struct {
 	RecordsApplied   int64 `json:"recordsApplied"`
 	Reconnects       int64 `json:"reconnects"`
 	SnapshotsFetched int64 `json:"snapshotsFetched"`
+}
+
+// TemplateStatsWire is the template-cache block in GET /stats. A query
+// whose exact fingerprint misses the plan cache looks up the template of
+// its shape (the query with its constants abstracted): Hits counts those
+// served by binding a template, Misses those that compiled, and Entries
+// the live templates.
+type TemplateStatsWire struct {
+	Hits    int64 `json:"hits"`
+	Misses  int64 `json:"misses"`
+	Entries int   `json:"entries"`
 }
 
 // IVMStatsWire is the materialized-answer snapshot in GET /stats.

@@ -100,6 +100,15 @@ func TestRepartitionChaosDifferential(t *testing.T) {
 		}
 	}
 
+	// placed checks placement under the world lock, like check: with the
+	// writers running, two reads of one broadcast relation can straddle a
+	// write and disagree on its row count.
+	placed := func(label string) {
+		w.lock.Lock()
+		defer w.lock.Unlock()
+		assertPlacement(t, label, router)
+	}
+
 	w.check("before rekey")
 	v0 := router.Version()
 	rep := move("ontime", "dest", "rekey ontime origin→dest")
@@ -107,14 +116,14 @@ func TestRepartitionChaosDifferential(t *testing.T) {
 		t.Errorf("rekey report %+v, want origin→dest with rows moved", rep)
 	}
 	w.check("after rekey")
-	assertPlacement(t, "after rekey", router)
+	placed("after rekey")
 
 	rep = move("delaycause", "", "promote delaycause")
 	if rep.From != "fid" || rep.To != "broadcast" || rep.Moved == 0 {
 		t.Errorf("promote report %+v, want fid→broadcast with rows moved", rep)
 	}
 	w.check("after promote")
-	assertPlacement(t, "after promote", router)
+	placed("after promote")
 
 	rep = move("delaycause", "fid", "demote delaycause")
 	if rep.From != "broadcast" || rep.To != "fid" {
@@ -124,7 +133,7 @@ func TestRepartitionChaosDifferential(t *testing.T) {
 		t.Errorf("demote moved %d rows; a demote must copy nothing", rep.Moved)
 	}
 	w.check("after demote")
-	assertPlacement(t, "after demote", router)
+	placed("after demote")
 
 	// Placement moves, like tuple movement, must never bump Version.
 	if v1 := router.Version(); v1 != v0 {

@@ -1220,10 +1220,16 @@ func (r *Router) AccessSnapshot() *access.Schema {
 func (r *Router) Version() uint64 { return r.anchor().Version() }
 
 // CacheStats returns the plan-cache counters summed across every engine.
-func (r *Router) CacheStats() cache.Stats {
+func (r *Router) CacheStats() cache.Stats { return r.sumCache((*core.Engine).CacheStats) }
+
+// TemplateStats returns the template-cache counters summed across every
+// engine.
+func (r *Router) TemplateStats() cache.Stats { return r.sumCache((*core.Engine).TemplateStats) }
+
+func (r *Router) sumCache(stats func(*core.Engine) cache.Stats) cache.Stats {
 	var out cache.Stats
 	for _, eng := range r.engines() {
-		s := eng.CacheStats()
+		s := stats(eng)
 		out.Hits += s.Hits
 		out.Misses += s.Misses
 		out.Evictions += s.Evictions
