@@ -98,6 +98,10 @@ type Engine struct {
 	wstripes [64]sync.Mutex
 	// ckBusy ensures at most one background checkpoint runs at a time.
 	ckBusy atomic.Bool
+
+	// violations counts bounded executions that read more tuples than
+	// their plan's static bound (BoundViolations).
+	violations atomic.Int64
 }
 
 // Options tunes query processing.
@@ -313,6 +317,7 @@ type compiled struct {
 	rewritten bool
 	rules     []string
 	plan      *plan.Plan     // nil when not covered
+	bound     int64          // plan.MaxAccessBound(), 0 when not covered
 	minimized *access.Schema // nil when minimization off or not covered
 }
 
@@ -365,7 +370,7 @@ func (e *Engine) ExecuteNormalized(norm ra.Query, fp string, opts Options) (*exe
 	if err != nil {
 		return nil, nil, err
 	}
-	t, rep, err := e.runCompiled(c, opts, rep)
+	t, rep, err := e.runCompiled(c, c.covered, opts, rep)
 	if err == nil && mgr != nil && hits > 0 {
 		vk := viewKey(fp, opts)
 		if mgr.ShouldAdmit(vk, hits, float64(rep.Stats.Accessed)+1) {
@@ -457,7 +462,9 @@ func (e *Engine) cacheKeyLocked(fp string, opts Options) string {
 // non-distributable query — sound because compilation is data-independent
 // and every engine of a healthy cluster carries the same access schema —
 // then evaluates the query by shipping sub-plans instead of owning the
-// data. fp follows the ExecuteNormalized contract.
+// data. A growing Reshard calls it with opts.Cache on engines it has just
+// built, to compile the router's query history into their plan caches
+// before they receive traffic. fp follows the ExecuteNormalized contract.
 func (e *Engine) Analyze(norm ra.Query, fp string, opts Options) (*Report, error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
@@ -480,38 +487,34 @@ func analyzed(c *compiled, rep *Report) {
 	rep.Bounded = c.covered
 }
 
-// EvalSubtree evaluates one subtree of a normalized query against this
-// engine's local slice with the conventional evaluator, returning the
-// table, its positional attribute scope and the access cost. It is the
-// shard-side half of distributed residue execution: the router decides
-// which subtrees are safe to evaluate per shard (internal/shard/route.go)
-// and ships them here; no coverage checking applies because the subtree
-// is not a whole query.
-func (e *Engine) EvalSubtree(q ra.Query) (*exec.Table, []ra.Attr, exec.Stats, error) {
+// ExecuteShipped answers a subtree of a normalized query shipped by the
+// sharded router (internal/shard/residue.go) over this engine's slice.
+// It compiles like a query under DefaultOptions, through the plan and
+// template caches, and runs bounded when covered with a plan bound below
+// the local size of the relations it reads, conventionally otherwise
+// (Report.Bounded tells which); it is never materialized. The answer's
+// columns follow ra.OutAttrs(norm) positionally.
+func (e *Engine) ExecuteShipped(norm ra.Query) (*exec.Table, *Report, error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	return exec.EvalSubtree(q, e.schema, e.db)
+	opts := DefaultOptions()
+	rep := &Report{Version: e.version.Load()}
+	c, _, err := e.artifact(norm, "", opts, rep)
+	if err != nil {
+		return nil, nil, err
+	}
+	var rels []string
+	for _, r := range ra.Relations(norm) {
+		rels = append(rels, r.Base)
+	}
+	return e.runCompiled(c, c.covered && c.bound < e.db.SizeOf(rels...), opts, rep)
 }
 
-// Prewarm runs the analysis half of the pipeline on norm — coverage
-// check, rewriting, minimization, plan generation, exactly as Execute
-// would under opts — and installs the artifact in the plan cache without
-// executing it. It exists for cluster membership changes: an engine
-// freshly built to join a sharded cluster starts with a cold cache, and
-// compilation is data-independent, so the router can prewarm it from its
-// query history before the engine receives traffic. fp must be
-// ra.FingerprintNormalized(norm) or empty (computed on demand); a query
-// already cached under the current version is left untouched.
-func (e *Engine) Prewarm(norm ra.Query, fp string, opts Options) error {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	if e.plans == nil {
-		return nil
-	}
-	opts.Cache = true
-	_, _, err := e.artifact(norm, fp, opts, &Report{})
-	return err
-}
+// BoundViolations counts bounded executions that accessed more tuples
+// than their plan's static bound (plan.MaxAccessBound) — the paper's
+// guarantee broken. It stays 0 unless the executor or the planner is
+// wrong.
+func (e *Engine) BoundViolations() int64 { return e.violations.Load() }
 
 // compile runs the analysis pipeline on a normalized query: CovChk,
 // covered-form rewriting, access minimization and plan generation. Called
@@ -569,43 +572,36 @@ func (e *Engine) compile(norm ra.Query, opts Options, rep *Report) (*compiled, e
 	}
 	rep.PlanTime = time.Since(t2)
 	c.plan = p
+	c.bound = p.MaxAccessBound()
 	return c, nil
 }
 
 // runCompiled executes a compile artifact: evalQP over the bounded plan
-// for covered queries, evalDBMS over the normalized query otherwise.
-func (e *Engine) runCompiled(c *compiled, opts Options, rep *Report) (*exec.Table, *Report, error) {
-	rep.Covered = c.covered
-	rep.Rewritten = c.rewritten
-	rep.RewriteRules = c.rules
-	rep.Plan = c.plan
-	rep.Minimized = c.minimized
-
-	if !c.covered {
-		if !opts.FallbackToBaseline {
-			return nil, rep, ErrNotCovered
-		}
-		table, st, err := exec.RunBaseline(c.norm, e.schema, e.db)
-		if err != nil {
-			return nil, rep, err
-		}
-		rep.Stats = st
-		return table, rep, nil
-	}
-
-	rep.Bounded = true
+// when bounded (which requires a covered artifact), evalDBMS over the
+// normalized query otherwise.
+func (e *Engine) runCompiled(c *compiled, bounded bool, opts Options, rep *Report) (*exec.Table, *Report, error) {
+	analyzed(c, rep)
+	rep.Bounded = bounded
 	var (
 		table *exec.Table
 		st    exec.Stats
 		err   error
 	)
-	if opts.Parallel {
+	switch {
+	case !bounded && !c.covered && !opts.FallbackToBaseline:
+		return nil, rep, ErrNotCovered
+	case !bounded:
+		table, st, err = exec.RunBaseline(c.norm, e.schema, e.db)
+	case opts.Parallel:
 		table, st, err = exec.RunParallel(c.plan, e.db, opts.Workers)
-	} else {
+	default:
 		table, st, err = exec.Run(c.plan, e.db)
 	}
 	if err != nil {
 		return nil, rep, err
+	}
+	if bounded && st.Accessed > c.bound {
+		e.violations.Add(1)
 	}
 	rep.Stats = st
 	return table, rep, nil

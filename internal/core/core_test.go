@@ -244,3 +244,50 @@ func TestExecuteEmptyAnswer(t *testing.T) {
 		t.Error("empty-answer query should still be bounded")
 	}
 }
+
+// TestBoundViolationCounted breaks the paper's guarantee on purpose: an
+// instance that no longer satisfies ontime(origin → airline, 28) makes
+// the covered query's plan read more tuples than its static bound, and
+// the engine counts that execution — once, on the bounded path only.
+func TestBoundViolationCounted(t *testing.T) {
+	d, err := workload.ByName("AIRCA")
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, err := d.Gen(0.01, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := NewEngine(d.Schema, d.Access, db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for al := int64(0); al < 30; al++ {
+		row := value.Tuple{value.NewInt(900000 + al), value.NewInt(999), value.NewInt(1),
+			value.NewInt(al), value.NewInt(1), value.NewInt(0)}
+		if _, err := eng.Insert("ontime", row); err != nil {
+			t.Fatal(err)
+		}
+	}
+	q, err := eng.Parse(`q(airline) :- ontime(f, 999, d, airline, m, delay)`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, rep, err := eng.Execute(q, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Bounded || rep.Stats.Accessed <= rep.Plan.MaxAccessBound() {
+		t.Fatalf("bounded=%v accessed %d, bound %d: the instance no longer breaks the bound",
+			rep.Bounded, rep.Stats.Accessed, rep.Plan.MaxAccessBound())
+	}
+	if n := eng.BoundViolations(); n != 1 {
+		t.Fatalf("BoundViolations = %d, want 1", n)
+	}
+	if _, _, err := eng.ExecuteBaseline(q); err != nil {
+		t.Fatal(err)
+	}
+	if n := eng.BoundViolations(); n != 1 {
+		t.Fatalf("a conventional run moved BoundViolations to %d", n)
+	}
+}

@@ -34,28 +34,6 @@ func RunBaseline(q ra.Query, s ra.Schema, db *store.DB) (*Table, Stats, error) {
 	return t.detach(), acc.stats(start, 0), nil
 }
 
-// EvalSubtree evaluates one subtree of a normalized query the
-// conventional way and returns the result table together with the
-// attribute scope its columns are positionally labeled by. It is the
-// sub-plan execution entry point of the sharded residue executor
-// (internal/shard): the router recurses over a non-distributable query,
-// ships the distributable subtrees to shard engines through this call,
-// and combines the pieces itself — column labels are derived
-// deterministically from the subtree alone, so tables computed for the
-// same subtree on different shards union positionally.
-func EvalSubtree(q ra.Query, s ra.Schema, db *store.DB) (*Table, []ra.Attr, Stats, error) {
-	start := time.Now()
-	var acc accCounter
-	a := getArena()
-	defer a.release()
-	ctx := &evalCtx{a: a, in: a.in, acc: &acc}
-	t, attrs, err := evalBaseline(ctx, q, s, db)
-	if err != nil {
-		return nil, nil, Stats{}, err
-	}
-	return t.detach(), attrs, acc.stats(start, 0), nil
-}
-
 // PredsHold reports whether row, whose columns are positionally described
 // by scope, satisfies every predicate. Exported for the sharded residue
 // executor's per-row compatibility paths and the legacy evaluator.

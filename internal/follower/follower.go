@@ -564,6 +564,10 @@ func (n *Node) DBSize() int64 { return n.eng.Load().DBSize() }
 // IndexEntries returns total index entries on the replica.
 func (n *Node) IndexEntries() int64 { return n.eng.Load().IndexEntries() }
 
+// BoundViolations returns the local engine's bounded executions that read
+// more tuples than their plan's static bound.
+func (n *Node) BoundViolations() int64 { return n.eng.Load().BoundViolations() }
+
 // IVMStats returns the local materialized-answer counters: views are
 // maintained on the follower by the replicated writes flowing through
 // the normal apply path.

@@ -635,6 +635,13 @@ type templateStatser interface {
 	TemplateStats() cache.Stats
 }
 
+// violationCounter is implemented by core.Service implementations that
+// count bounded executions exceeding their plan's static access bound
+// (core.Engine, shard.Router, follower.Node).
+type violationCounter interface {
+	BoundViolations() int64
+}
+
 // ivmStatser is implemented by core.Service implementations that
 // maintain materialized answers for hot fingerprints (core.Engine,
 // shard.Router); /stats folds the view counters in for operators.
@@ -742,6 +749,10 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			BroadcastRels: rd.BroadcastRels,
 			Repartitions:  rd.Repartitions,
 			BytesShipped:  rd.BytesShipped,
+
+			ShippedBounded:      rd.ShippedBounded,
+			ShippedConventional: rd.ShippedConventional,
+			ShippedPruned:       rd.ShippedPruned,
 		}
 	}
 	var duraW *DurabilityWire
@@ -802,6 +813,9 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Requests:      s.requests.Load(),
 		InFlight:      s.inFlight.Load(),
 		UptimeSeconds: time.Since(s.start).Seconds(),
+	}
+	if vc, ok := s.eng.(violationCounter); ok {
+		resp.BoundViolations = vc.BoundViolations()
 	}
 	if ps, ok := s.eng.(perShardStatser); ok {
 		for _, st := range ps.PerShardStats() {

@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"repro/internal/core"
@@ -149,6 +150,47 @@ func TestServerOverShardedRouter(t *testing.T) {
 	if sstats.Apply != nil || sstats.Routes != nil || sstats.Residue != nil {
 		t.Errorf("single-engine stats unexpectedly carries write-path blocks: apply=%+v routes=%+v residue=%+v",
 			sstats.Apply, sstats.Routes, sstats.Residue)
+	}
+}
+
+// TestResidueStatsWire pins the shipped-subtree counters of the /stats
+// residue block: the two branches of a cross-origin ontime self-join are
+// each pinned to one owner (pruned) and run there as bounded plans, and
+// no engine reports a bound violation.
+func TestResidueStatsWire(t *testing.T) {
+	router, _ := shardedService(t)
+	_, c := startServer(t, router, Config{})
+	ctx := context.Background()
+	var src string
+	for o := 1; o < 150 && src == ""; o++ {
+		cand := fmt.Sprintf(`q(airline) :- ontime(f, 0, d, airline, m, delay), ontime(f2, %d, d2, airline, m2, delay2)`, o)
+		q, err := router.Parse(cand)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if kind, err := router.RouteKind(q); err == nil && kind == "residue" {
+			src = cand
+		}
+	}
+	if src == "" {
+		t.Fatal("no residue-routed pair of origins")
+	}
+	if _, err := c.Query(ctx, src); err != nil {
+		t.Fatal(err)
+	}
+	st, err := c.Stats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Residue == nil {
+		t.Fatal("stats response missing the residue block")
+	}
+	got := [3]int64{st.Residue.ShippedBounded, st.Residue.ShippedConventional, st.Residue.ShippedPruned}
+	if got != [3]int64{2, 0, 2} {
+		t.Fatalf("residue shippedBounded/shippedConventional/shippedPruned = %v, want [2 0 2]", got)
+	}
+	if st.Residue.Shuffles != 1 || st.BoundViolations != 0 {
+		t.Fatalf("shuffles = %d, boundViolations = %d, want 1 and 0", st.Residue.Shuffles, st.BoundViolations)
 	}
 }
 

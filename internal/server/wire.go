@@ -163,6 +163,10 @@ type StatsResponse struct {
 	DBSize       int64  `json:"dbSize"`
 	IndexEntries int64  `json:"indexEntries"`
 	Version      uint64 `json:"version"`
+	// BoundViolations counts bounded executions that read more tuples than
+	// their plan's static bound (summed across engines on a cluster); it
+	// stays 0 unless the planner or the executor is wrong.
+	BoundViolations int64 `json:"boundViolations"`
 	// Requests counts HTTP requests served since start; InFlight is the
 	// number of /query executions currently running.
 	Requests      int64   `json:"requests"`
@@ -393,6 +397,15 @@ type ResidueStatsWire struct {
 	// BytesShipped is the encoded row volume handed to shuffle buckets —
 	// the traffic the shuffles would put on the wire across nodes.
 	BytesShipped int64 `json:"bytesShipped"`
+	// ShippedBounded and ShippedConventional count member executions of
+	// shipped subtrees by the path they ran: a bounded plan, or the
+	// conventional evaluator (uncovered, or a plan bound not below the
+	// member's live size of the subtree's relations).
+	ShippedBounded      int64 `json:"shippedBounded"`
+	ShippedConventional int64 `json:"shippedConventional"`
+	// ShippedPruned counts partitioned subtrees sent only to the member
+	// owning their pinned keys instead of to every member.
+	ShippedPruned int64 `json:"shippedPruned"`
 }
 
 // ShardStatsWire is one engine of a sharded cluster in GET /stats.

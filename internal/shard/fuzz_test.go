@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/ra"
 	"repro/internal/workload"
 )
 
@@ -163,26 +164,16 @@ func FuzzRouteDecision(f *testing.F) {
 // and the residue planner/executor, not the parser, absorbs the
 // fuzzing budget.
 func FuzzResiduePlan(f *testing.F) {
-	f.Add(uint8(0), int64(1), uint8(2), uint8(1), uint8(0))
-	f.Add(uint8(1), int64(2), uint8(3), uint8(2), uint8(1))
-	f.Add(uint8(2), int64(3), uint8(1), uint8(1), uint8(1))
-	f.Add(uint8(3), int64(4), uint8(4), uint8(2), uint8(0))
+	for _, s := range residuePlanSeeds {
+		f.Add(s.pick, s.seed, s.sel, s.join, s.unidiff)
+	}
 	f.Fuzz(func(t *testing.T, pick uint8, seed int64, sel, join, unidiff uint8) {
 		h := fuzzHarness()
 		if h.err != nil {
 			t.Fatalf("harness: %v", h.err)
 		}
-		d, err := workload.ByName("AIRCA")
-		if err != nil {
-			t.Fatal(err)
-		}
 		router := h.routers[int(pick)%len(h.routers)]
-		rng := rand.New(rand.NewSource(seed))
-		p := workload.DefaultQueryParams()
-		p.Sel = 1 + int(sel)%5
-		p.Join = 1 + int(join)%2 // at least one join: bias toward cross-key shapes
-		p.UniDiff = int(unidiff) % 2
-		q, err := d.RandomQuery(p, rng)
+		q, err := residuePlanQuery(seed, sel, join, unidiff)
 		if err != nil {
 			t.Skip()
 		}
@@ -205,5 +196,48 @@ func FuzzResiduePlan(f *testing.F) {
 			t.Fatalf("verdict divergence on %q: covered %v/%v bounded %v/%v",
 				q.String(), gotRep.Covered, wantRep.Covered, gotRep.Bounded, wantRep.Bounded)
 		}
+		assertNoBoundViolations(t, router)
+		if n := h.oracle.BoundViolations(); n != 0 {
+			t.Fatalf("oracle: %d bounded executions exceeded their plan bound", n)
+		}
 	})
+}
+
+// residuePlanSeeds is FuzzResiduePlan's seed corpus: a router pick and
+// the generator parameters of residuePlanQuery.
+var residuePlanSeeds = []struct {
+	pick               uint8
+	seed               int64
+	sel, join, unidiff uint8
+}{
+	{0, 1, 2, 1, 0},
+	{1, 2, 3, 2, 1},
+	{2, 3, 1, 1, 1},
+	{3, 4, 4, 2, 0},
+}
+
+// residuePlanQuery draws FuzzResiduePlan's generator query for one input:
+// AIRCA, at least one join (biased toward cross-key shapes), sel
+// selections and an optional union or difference.
+func residuePlanQuery(seed int64, sel, join, unidiff uint8) (ra.Query, error) {
+	d, err := workload.ByName("AIRCA")
+	if err != nil {
+		return nil, err
+	}
+	p := workload.DefaultQueryParams()
+	p.Sel = 1 + int(sel)%5
+	p.Join = 1 + int(join)%2
+	p.UniDiff = int(unidiff) % 2
+	return d.RandomQuery(p, rand.New(rand.NewSource(seed)))
+}
+
+// assertNoBoundViolations fails the test when any engine of r ran a
+// bounded plan past its static access bound.
+func assertNoBoundViolations(t *testing.T, r *Router) {
+	t.Helper()
+	for i, eng := range r.engines() {
+		if n := eng.BoundViolations(); n != 0 {
+			t.Fatalf("engine %d of %s: %d bounded executions exceeded their plan bound", i, r, n)
+		}
+	}
 }

@@ -77,30 +77,34 @@ func (r *Router) route(norm ra.Query, ring *Ring, n int, ps *partState) decision
 		return decision{kind: routeSingle, shard: int(structHash(norm) % uint64(n)), brels: brels}
 	}
 	cl := collectClasses(norm)
-	// Covered-access fast path: every partitioned occurrence pins its
-	// partition key to a constant, and all constants live on one shard.
-	target := -1
-	for _, key := range parts {
-		c, ok := cl.constOf(key)
-		if !ok {
-			target = -1
-			break
-		}
-		s := ring.OwnerOf(c)
-		if target == -1 {
-			target = s
-		} else if s != target {
-			target = -1
-			break
-		}
-	}
-	if target >= 0 {
+	if target := keyedOwner(parts, cl, ring); target >= 0 {
 		return decision{kind: routeSingle, shard: target, keyed: true, brels: brels}
 	}
 	if r.dist(norm, cl, ring, ps) != stUnsafe {
 		return decision{kind: routeScatter, brels: brels}
 	}
 	return decision{kind: routeResidue, brels: brels}
+}
+
+// keyedOwner is the covered-access fast path test: when every partition
+// key in parts (one per partitioned occurrence) is pinned to a constant
+// and all those constants live on one shard of ring, it returns that
+// shard; otherwise -1.
+func keyedOwner(parts []ra.Attr, cl *classes, ring *Ring) int {
+	target := -1
+	for _, key := range parts {
+		c, ok := cl.constOf(key)
+		if !ok {
+			return -1
+		}
+		s := ring.OwnerOf(c)
+		if target == -1 {
+			target = s
+		} else if s != target {
+			return -1
+		}
+	}
+	return target
 }
 
 // Distribution statuses of a query subtree: complete means every shard
@@ -212,23 +216,50 @@ type classes struct {
 // collectClasses gathers the equality atoms of every selection in norm.
 // Occurrence names are globally unique after normalization, so one global
 // structure is sound: an atom can only reference occurrences in its own
-// scope, and scopes never alias.
+// scope, and scopes never alias — with one exception. A union's output
+// carries its left operand's attribute names but also the right
+// operand's rows, so an atom above a union that names an attribute of an
+// occurrence below it does not hold of that occurrence's own rows: a
+// constant bound inside the left operand would leak to the right
+// operand's rows through it. Such atoms are left out; they are still
+// enforced where they sit, and only the analysis gets more conservative.
 func collectClasses(norm ra.Query) *classes {
 	cl := &classes{parent: map[ra.Attr]ra.Attr{}, consts: map[ra.Attr]value.Value{}}
-	ra.Walk(norm, func(n ra.Query) {
-		sel, ok := n.(*ra.Select)
-		if !ok {
-			return
-		}
-		for _, p := range sel.Preds {
-			switch t := p.(type) {
-			case ra.EqAttr:
-				cl.union(t.L, t.R)
-			case ra.EqConst:
-				cl.bind(t.A, t.C)
+	// walk returns the occurrences below a union within q.
+	var walk func(q ra.Query) map[string]bool
+	walk = func(q ra.Query) map[string]bool {
+		var hidden map[string]bool
+		for _, c := range q.Children() {
+			for name := range walk(c) {
+				if hidden == nil {
+					hidden = map[string]bool{}
+				}
+				hidden[name] = true
 			}
 		}
-	})
+		switch t := q.(type) {
+		case *ra.Union:
+			hidden = map[string]bool{}
+			for _, occ := range ra.Relations(t) {
+				hidden[occ.Name] = true
+			}
+		case *ra.Select:
+			for _, p := range t.Preds {
+				switch a := p.(type) {
+				case ra.EqAttr:
+					if !hidden[a.L.Rel] && !hidden[a.R.Rel] {
+						cl.union(a.L, a.R)
+					}
+				case ra.EqConst:
+					if !hidden[a.A.Rel] {
+						cl.bind(a.A, a.C)
+					}
+				}
+			}
+		}
+		return hidden
+	}
+	walk(norm)
 	return cl
 }
 

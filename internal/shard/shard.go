@@ -348,6 +348,9 @@ type Router struct {
 	resShuffles     atomic.Int64
 	resRepartitions atomic.Int64
 	resBytesShipped atomic.Int64
+	resBounded      atomic.Int64
+	resConventional atomic.Int64
+	resPruned       atomic.Int64
 
 	// hookMigBatch, when set, runs between migration batches. Tests use it
 	// to slow or freeze a migration deterministically; it is never set in
@@ -668,7 +671,7 @@ func (r *Router) prewarmFresh(fresh []*member) {
 	for _, m := range fresh {
 		for fp, e := range entries {
 			opts := core.Options{Cache: true, Minimize: e.minimize, Rewrite: e.rewrite}
-			_ = m.eng.Prewarm(e.norm, fp, opts)
+			_, _ = m.eng.Analyze(e.norm, fp, opts)
 		}
 	}
 }
@@ -1226,6 +1229,16 @@ func (r *Router) CacheStats() cache.Stats { return r.sumCache((*core.Engine).Cac
 // engine.
 func (r *Router) TemplateStats() cache.Stats { return r.sumCache((*core.Engine).TemplateStats) }
 
+// BoundViolations returns the bounded executions, summed across every
+// engine, that read more tuples than their plan's static bound.
+func (r *Router) BoundViolations() int64 {
+	var n int64
+	for _, eng := range r.engines() {
+		n += eng.BoundViolations()
+	}
+	return n
+}
+
 func (r *Router) sumCache(stats func(*core.Engine) cache.Stats) cache.Stats {
 	var out cache.Stats
 	for _, eng := range r.engines() {
@@ -1363,6 +1376,14 @@ type ResidueStats struct {
 	// BytesShipped approximates the volume moved between members by
 	// shuffles: the encoded size of every row handed to a shuffle bucket.
 	BytesShipped int64
+	// ShippedBounded and ShippedConventional count member executions of
+	// shipped subtrees by the path they ran: a bounded plan, or the
+	// conventional evaluator (uncovered, or the plan's bound not below the
+	// member's live size of the subtree's relations).
+	ShippedBounded, ShippedConventional int64
+	// ShippedPruned counts partitioned subtrees sent only to the member
+	// owning their pinned keys instead of to every member.
+	ShippedPruned int64
 }
 
 // ResidueStats returns the residue-execution counters.
@@ -1374,6 +1395,10 @@ func (r *Router) ResidueStats() ResidueStats {
 		BroadcastRels: len(r.schema.Relations()) - len(ps.keys),
 		Repartitions:  r.resRepartitions.Load(),
 		BytesShipped:  r.resBytesShipped.Load(),
+
+		ShippedBounded:      r.resBounded.Load(),
+		ShippedConventional: r.resConventional.Load(),
+		ShippedPruned:       r.resPruned.Load(),
 	}
 }
 

@@ -79,6 +79,7 @@ func TestShardedDifferential(t *testing.T) {
 					if wantRep.Bounded != gotRep.Bounded {
 						t.Errorf("%s: bounded verdict %v vs %v", tpl.Name, wantRep.Bounded, gotRep.Bounded)
 					}
+					assertNoBoundViolations(t, router)
 				}
 			})
 		}
@@ -117,6 +118,7 @@ func TestShardedDifferentialRandom(t *testing.T) {
 				if wantRep.Bounded != gotRep.Bounded {
 					t.Errorf("query %d: bounded verdict %v vs %v", i, wantRep.Bounded, gotRep.Bounded)
 				}
+				assertNoBoundViolations(t, router)
 			}
 		})
 	}

@@ -39,13 +39,14 @@ import (
 
 // joinProduct evaluates a non-co-located product: both branches
 // distributed, then semi-join reduction and a hash shuffle on the linked
-// equality classes.
-func (re *residueEval) joinProduct(t *ra.Product) (*exec.Table, []ra.Attr, error) {
-	l, la, err := re.eval(t.L)
+// equality classes. need is the product's need (see eval); each branch
+// keeps its link columns on its own, as shipped projects them.
+func (re *residueEval) joinProduct(t *ra.Product, need map[ra.Attr]bool) (*exec.Table, []ra.Attr, error) {
+	l, la, err := re.eval(t.L, need)
 	if err != nil {
 		return nil, nil, err
 	}
-	rt, ra2, err := re.eval(t.R)
+	rt, ra2, err := re.eval(t.R, need)
 	if err != nil {
 		return nil, nil, err
 	}

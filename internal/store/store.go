@@ -117,6 +117,21 @@ func (db *DB) Size() int64 {
 	return n
 }
 
+// SizeOf returns the number of tuples stored in the named relations, a
+// name listed twice counting twice, read under one lock acquisition.
+// Unknown names count 0.
+func (db *DB) SizeOf(rels ...string) int64 {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	var n int64
+	for _, name := range rels {
+		if r, ok := db.rels[name]; ok {
+			n += int64(len(r.rows))
+		}
+	}
+	return n
+}
+
 // Counter returns a snapshot of the access counters.
 func (db *DB) Counter() Counter {
 	return Counter{
